@@ -5,7 +5,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 STATICCHECK := $(shell command -v staticcheck 2>/dev/null)
 
-.PHONY: all fmt vet staticcheck build test race bench check tier1 telemetry-smoke fuzz-smoke chaos-restart chaos-policies obscheck
+.PHONY: all fmt vet staticcheck build test race bench check tier1 telemetry-smoke fuzz-smoke chaos-restart chaos-policies obscheck bench-smoke
 
 all: check
 
@@ -91,6 +91,15 @@ chaos-policies:
 # short fuzz pass over the batch executor, the chaos crash-restart and
 # mixed-policy cycles, and a live telemetry scrape at the end.
 tier1: build vet staticcheck obscheck test race fuzz-smoke chaos-restart chaos-policies telemetry-smoke
+
+# Benchmark smoke: the harness's own tests, then a short serve-mixed run
+# with the load flags of the BENCHMARK.json command. The run exits non-zero
+# on any failed operation or wrong answer; the figures of a 3 s run are not
+# meant to be compared.
+bench-smoke:
+	cd perfbench && $(GO) test ./...
+	bash perfbench/run.sh --gomaxprocs 2 --query-rate 400 --query-limit-ms 8 --write-rate 5 \
+		--workload serve-mixed --seed 1 --seconds 3 --trace 0
 
 # Write the Design() benchmark baseline consumed by regression checks.
 bench:

@@ -46,11 +46,12 @@ func (db *DB) PendingDeltaRows(table string) int {
 // ApplyDeltas folds every pending delta into its base table and clears the
 // delta buffers, along with every view's propagation watermark (the rows
 // are base state from now on). The fold is copy-on-write: each affected
-// base table is republished as a fresh table — one columnar payload copy
-// plus the delta appended — so concurrent readers keep scanning the
-// snapshot they resolved. Base-table writes are not metered: the
-// warehouse pays them under every maintenance policy, so they cancel out
-// of any recompute-vs-incremental comparison.
+// base table is republished as a fresh table — the new state the epoch's
+// join deltas already built when it still covers every pending row, else
+// one columnar payload copy plus the delta appended — so concurrent
+// readers keep scanning the snapshot they resolved. Base-table writes are
+// not metered: the warehouse pays them under every maintenance policy, so
+// they cancel out of any recompute-vs-incremental comparison.
 func (db *DB) ApplyDeltas() error {
 	if err := db.inj.Hit(fault.SiteEngineApplyDeltas); err != nil {
 		return err
@@ -58,11 +59,58 @@ func (db *DB) ApplyDeltas() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for name, d := range db.deltas {
-		db.tables[name] = db.tables[name].cloneAppendTable(d)
+		base := db.tables[name]
+		if x := db.newStates[name]; x.covers(base, d, d.NumRows()) {
+			db.tables[name] = x.table
+			continue
+		}
+		db.tables[name] = base.cloneAppendTable(d)
 	}
 	db.deltas = make(map[string]*Table)
 	db.propagated = make(map[string]map[string]int)
+	db.newStates = nil
 	return nil
+}
+
+// newState is a base table extended by the first pending rows of its
+// delta. It is built once per epoch and shared: every view's join deltas
+// pair against the same immutable table, and ApplyDeltas publishes it as
+// the base table when it still covers every pending row.
+type newState struct {
+	base     *Table
+	baseRows int
+	delta    *Table
+	pending  int
+	table    *Table
+}
+
+// covers reports whether the state extends exactly base (as it stands)
+// by the first pending rows of delta.
+func (x *newState) covers(base, delta *Table, pending int) bool {
+	return x != nil && x.base == base && x.baseRows == base.NumRows() &&
+		x.delta == delta && x.pending == pending
+}
+
+// extended returns base followed by rows [0, pending) of delta, reusing
+// the epoch's shared copy when one matches and publishing a fresh one
+// otherwise. The copy runs outside the lock; two refreshes racing to
+// build the same state both get a correct table.
+func (db *DB) extended(name string, base, delta *Table, pending int) *Table {
+	db.mu.RLock()
+	x := db.newStates[name]
+	db.mu.RUnlock()
+	if x.covers(base, delta, pending) {
+		return x.table
+	}
+	x = &newState{base: base, baseRows: base.NumRows(), delta: delta, pending: pending,
+		table: base.cloneAppendTable(delta.sliceRows(0, pending))}
+	db.mu.Lock()
+	if db.newStates == nil {
+		db.newStates = make(map[string]*newState)
+	}
+	db.newStates[name] = x
+	db.mu.Unlock()
+	return x.table
 }
 
 // incrementable mirrors the cost package's gate (cost.Incrementable): at
@@ -85,30 +133,39 @@ func incrementable(plan algebra.Node) error {
 	return err
 }
 
-// deltaState is one view's frozen picture of the pending deltas: the rows
-// it has not propagated yet (fresh), the rows it already folded in during
-// an earlier refresh this epoch (oldExtra — part of the view's old state),
-// and every pending row (allPending — the new state each join delta pairs
-// against). seen records the per-table watermark to commit on success.
+// deltaState is one view's frozen picture of the base tables and the
+// pending deltas: the rows it has not propagated yet (fresh), how many it
+// already folded in during an earlier refresh this epoch (old — part of
+// the view's old state), and how many are pending in all (seen — the new
+// state each join delta pairs against, and the watermark to commit on
+// success).
 type deltaState struct {
-	fresh      map[string]*Table
-	oldExtra   map[string]*Table
-	allPending map[string]*Table
-	seen       map[string]int
+	tables map[string]*Table
+	views  map[string]*MaterializedView
+	deltas map[string]*Table
+	fresh  map[string]*Table
+	old    map[string]int
+	seen   map[string]int
 }
 
-// deltaSnapshot freezes the pending deltas and the view's watermarks under
-// the read lock. The slices are capacity-capped column views, so later
-// InsertDelta appends never leak into a propagation already underway.
+// deltaSnapshot freezes the base tables, the pending deltas and the view's
+// watermarks under the read lock. The fresh slices are capacity-capped
+// column views, so later InsertDelta appends never leak into a
+// propagation already underway.
 func (db *DB) deltaSnapshot(view string) *deltaState {
 	ds := &deltaState{
-		fresh:      make(map[string]*Table),
-		oldExtra:   make(map[string]*Table),
-		allPending: make(map[string]*Table),
-		seen:       make(map[string]int),
+		deltas: make(map[string]*Table),
+		fresh:  make(map[string]*Table),
+		old:    make(map[string]int),
+		seen:   make(map[string]int),
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	ds.tables = make(map[string]*Table, len(db.tables))
+	for name, t := range db.tables {
+		ds.tables[name] = t
+	}
+	ds.views = db.views
 	marks := db.propagated[view]
 	for name, d := range db.deltas {
 		n := d.NumRows()
@@ -116,9 +173,9 @@ func (db *DB) deltaSnapshot(view string) *deltaState {
 		if k > n {
 			k = n
 		}
+		ds.deltas[name] = d
 		ds.seen[name] = n
-		ds.allPending[name] = d.sliceRows(0, n)
-		ds.oldExtra[name] = d.sliceRows(0, k)
+		ds.old[name] = k
 		ds.fresh[name] = d.sliceRows(k, n)
 	}
 	return ds
@@ -277,11 +334,11 @@ func (db *DB) deltaExec(n algebra.Node, ds *deltaState, res *Result) (*Table, er
 		if err != nil {
 			return nil, err
 		}
-		rightNew, err := db.execUnmetered(v.Right, ds.allPending)
+		rightNew, err := db.execUnmetered(v.Right, ds, ds.seen)
 		if err != nil {
 			return nil, err
 		}
-		leftOld, err := db.execUnmetered(v.Left, ds.oldExtra)
+		leftOld, err := db.execUnmetered(v.Left, ds, ds.old)
 		if err != nil {
 			return nil, err
 		}
@@ -301,28 +358,35 @@ func (db *DB) deltaExec(n algebra.Node, ds *deltaState, res *Result) (*Table, er
 }
 
 // execUnmetered evaluates a subplan without block accounting against the
-// base tables extended by the given extra rows (nil extras = the old
-// state; the all-pending extras = the new state). It runs on a shadow
-// database value — the receiver is never mutated, so concurrent readers
-// of the real DB are undisturbed.
-func (db *DB) execUnmetered(n algebra.Node, extra map[string]*Table) (*Table, error) {
-	db.mu.RLock()
-	tables := make(map[string]*Table, len(db.tables))
-	for name, t := range db.tables {
-		x := extra[name]
-		if x == nil || x.NumRows() == 0 {
-			tables[name] = t
-			continue
+// snapshot's base tables, each scanned one extended by its first pending[t]
+// delta rows (the view's old marks = the old state; every pending row =
+// the new state). Only the relations the subplan scans are extended, each
+// through the epoch's shared copy. It runs on a shadow database value —
+// the receiver is never mutated, so concurrent readers of the real DB are
+// undisturbed.
+func (db *DB) execUnmetered(n algebra.Node, ds *deltaState, pending map[string]int) (*Table, error) {
+	tables := ds.tables
+	cloned := false
+	algebra.Walk(n, func(node algebra.Node) {
+		scan, ok := node.(*algebra.Scan)
+		if !ok || pending[scan.Relation] == 0 {
+			return
 		}
-		tables[name] = t.cloneAppendTable(x)
-	}
-	views := db.views
-	db.mu.RUnlock()
+		if !cloned {
+			tables = make(map[string]*Table, len(ds.tables))
+			for name, t := range ds.tables {
+				tables[name] = t
+			}
+			cloned = true
+		}
+		rel := scan.Relation
+		tables[rel] = db.extended(rel, ds.tables[rel], ds.deltas[rel], pending[rel])
+	})
 	shadow := &DB{
 		BlockRows:  db.BlockRows,
 		Counter:    &Counter{},
 		tables:     tables,
-		views:      views,
+		views:      ds.views,
 		deltas:     make(map[string]*Table),
 		propagated: make(map[string]map[string]int),
 		joinAlgo:   db.joinAlgo,

@@ -236,8 +236,12 @@ type DB struct {
 	// DropView discards the dropped view's entry so a rematerialized view
 	// of the same name starts from a clean watermark.
 	propagated map[string]map[string]int
-	joinAlgo   JoinAlgorithm
-	execMode   ExecMode
+	// newStates caches, per base table, the epoch's one copy of the table
+	// extended by its pending rows (see extended); ApplyDeltas publishes
+	// it and starts the next epoch empty.
+	newStates map[string]*newState
+	joinAlgo  JoinAlgorithm
+	execMode  ExecMode
 
 	// obsv receives one EvEngineOp event per executed operator; blockReads
 	// and blockWrites mirror the Counter into the observer's registry. All

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -45,20 +46,33 @@ type IngestConfig struct {
 	GroupLinger time.Duration
 }
 
-// feedEntry is one accepted StreamIngest call parked in the change feed.
+// TableBatch is one table's rows within a StreamIngestBatches call.
+type TableBatch struct {
+	Table string
+	Rows  [][]algebra.Value
+}
+
+// feedEntry is one accepted streaming-ingest call parked in the change
+// feed: every table batch of the call, admitted and committed together.
 type feedEntry struct {
-	table    string
-	rows     [][]algebra.Value
+	batches  []TableBatch
 	seq      uint64
 	accepted time.Time
-	// ctx is the batch's root span context and trace its ring entry — both
-	// zero/nil when the batch was unsampled. They ride the feed through
-	// group commit into the scheduler, so the epoch that lands the batch
+	// ctx is the call's root span context and trace its ring entry — both
+	// zero/nil when the call was unsampled. They ride the feed through
+	// group commit into the scheduler, so the epoch that lands the call
 	// can adopt (or link) its trace.
 	ctx   obs.SpanContext
 	trace *queryTrace
 	// done receives the entry's group-commit outcome exactly once.
-	done chan error
+	done chan feedResult
+}
+
+// feedResult is one entry's group-commit outcome: the rows journaled and
+// staged, and the error that stopped the rest (nil when all landed).
+type feedResult struct {
+	rows int
+	err  error
 }
 
 // changeFeed is the CDC streaming front-end: a bounded, ordered buffer of
@@ -119,30 +133,53 @@ func newChangeFeed(s *Server, cfg IngestConfig, batch int) *changeFeed {
 // once the group commit containing them has journaled and staged the rows
 // for the next maintenance epoch. A nil return therefore guarantees the
 // rows are durable in the journal (when one is configured) — accepted ⇒
-// journaled — and will land with the next epoch.
+// journaled — and will land with the next epoch. It is the one-table case
+// of StreamIngestBatches.
 func (s *Server) StreamIngest(table string, rows ...[]algebra.Value) error {
+	_, err := s.StreamIngestBatches(TableBatch{Table: table, Rows: rows})
+	return err
+}
+
+// StreamIngestBatches streams several tables' rows as one change-feed
+// entry: the batches are admitted together (all or none), park once, and
+// land in the same group commit — one journal append per table, in the
+// given order. It returns the rows journaled and staged. When a table's
+// journal append fails, the rows of the tables before it stay accepted,
+// the rest are not staged, and the count comes back with the error.
+func (s *Server) StreamIngestBatches(batches ...TableBatch) (int, error) {
 	select {
 	case <-s.closed:
-		return ErrClosed
+		return 0, ErrClosed
 	default:
 	}
-	t, err := s.db.Table(table)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if len(r) != t.Schema.Len() {
-			return fmt.Errorf("serve: row width %d does not match schema width %d of %s",
-				len(r), t.Schema.Len(), table)
+	kept := make([]TableBatch, 0, len(batches))
+	names := make([]string, 0, len(batches))
+	total := 0
+	for _, b := range batches {
+		t, err := s.db.Table(b.Table)
+		if err != nil {
+			return 0, err
+		}
+		for _, r := range b.Rows {
+			if len(r) != t.Schema.Len() {
+				return 0, fmt.Errorf("serve: row width %d does not match schema width %d of %s",
+					len(r), t.Schema.Len(), b.Table)
+			}
+		}
+		if len(b.Rows) > 0 {
+			kept = append(kept, b)
+			names = append(names, b.Table)
+			total += len(b.Rows)
 		}
 	}
-	if len(rows) == 0 {
-		return nil
+	if total == 0 {
+		return 0, nil
 	}
-	// Write-path trace sampling: every Nth StreamIngest call (the query
-	// sampling stride; every call when only the flight recorder is armed)
-	// mints a root span context that rides the feed into the epoch that
-	// lands it. Unsampled calls pay one atomic increment.
+	table := strings.Join(names, ",")
+	// Write-path trace sampling: every Nth call (the query sampling stride;
+	// every call when only the flight recorder is armed) mints a root span
+	// context that rides the feed into the epoch that lands it. Unsampled
+	// calls pay one atomic increment.
 	start := time.Now()
 	var ictx obs.SpanContext
 	var itr *queryTrace
@@ -157,15 +194,27 @@ func (s *Server) StreamIngest(table string, rows ...[]algebra.Value) error {
 			itr = s.pipelineTrace("ingest", id, ictx)
 		}
 	}
+	// end closes a sampled call's trace with its ingest.stream span; every
+	// return past this point goes through it.
+	end := func(outcome string, attrs ...obs.Attr) {
+		if !ictx.Valid() {
+			return
+		}
+		attrs = append([]obs.Attr{obs.String("table", table), obs.Int("rows", int64(total)),
+			obs.String("outcome", outcome)}, attrs...)
+		s.traceSpan(itr, ictx, "ingest.stream", start, time.Since(start), attrs...)
+		itr.finish()
+	}
 	f := s.feed
 	f.mu.Lock()
-	if len(rows) > f.capRows {
+	if total > f.capRows {
 		f.mu.Unlock()
-		return fmt.Errorf("serve: batch of %d rows exceeds the %d-row change-feed buffer: %w",
-			len(rows), f.capRows, ErrBackpressure)
+		end("shed")
+		return 0, fmt.Errorf("serve: batch of %d rows exceeds the %d-row change-feed buffer: %w",
+			total, f.capRows, ErrBackpressure)
 	}
 	var deadlineAt time.Time
-	for f.rows+len(rows) > f.capRows && !f.closed {
+	for f.rows+total > f.capRows && !f.closed {
 		if deadlineAt.IsZero() {
 			// First time over capacity: this caller is now blocked by
 			// backpressure, counted once per call.
@@ -180,39 +229,34 @@ func (s *Server) StreamIngest(table string, rows ...[]algebra.Value) error {
 			obs.Emit(s.obsv, obs.EvServeIngest,
 				obs.String("action", "shed"),
 				obs.String("table", table),
-				obs.Int("rows", int64(len(rows))))
-			if ictx.Valid() {
-				s.traceSpan(itr, ictx, "ingest.stream", start, time.Since(start),
-					obs.String("table", table), obs.Int("rows", int64(len(rows))),
-					obs.String("outcome", "shed"))
-				itr.finish()
-			}
-			return ErrBackpressure
+				obs.Int("rows", int64(total)))
+			end("shed")
+			return 0, ErrBackpressure
 		}
 	}
 	if f.closed {
 		f.mu.Unlock()
-		return ErrClosed
+		end("closed")
+		return 0, ErrClosed
 	}
 	f.acceptedSeq++
 	e := &feedEntry{
-		table:    table,
-		rows:     rows,
+		batches:  kept,
 		seq:      f.acceptedSeq,
 		accepted: time.Now(),
 		ctx:      ictx,
 		trace:    itr,
-		done:     make(chan error, 1),
+		done:     make(chan feedResult, 1),
 	}
 	f.entries = append(f.entries, e)
-	f.rows += len(rows)
+	f.rows += total
 	full := f.rows >= f.groupRows
 	s.gIngestBuffer.Set(float64(f.rows))
 	f.mu.Unlock()
 	if ictx.Valid() {
 		// Admission (including any backpressure wait) is its own span.
 		s.traceSpan(itr, ictx.NewChild(), "ingest.accept", start, time.Since(start),
-			obs.String("table", table), obs.Int("rows", int64(len(rows))),
+			obs.String("table", table), obs.Int("rows", int64(total)),
 			obs.Int("seq", int64(e.seq)))
 	}
 
@@ -223,26 +267,22 @@ func (s *Server) StreamIngest(table string, rows ...[]algebra.Value) error {
 	// Park until the group containing this entry commits; after the linger
 	// the caller flushes the partial group itself, so no background ticker
 	// is needed and an idle feed costs nothing.
+	var res feedResult
 	timer := time.NewTimer(f.linger)
 	select {
-	case err = <-e.done:
+	case res = <-e.done:
 		timer.Stop()
 	case <-timer.C:
 		f.flush()
-		err = <-e.done
+		res = <-e.done
 	}
-	if ictx.Valid() {
-		attrs := []obs.Attr{
-			obs.String("table", table), obs.Int("rows", int64(len(rows))),
-			obs.Int("seq", int64(e.seq)),
-		}
-		if err != nil {
-			attrs = append(attrs, obs.String("error", err.Error()))
-		}
-		s.traceSpan(itr, ictx, "ingest.stream", start, time.Since(start), attrs...)
-		itr.finish()
+	if res.err != nil {
+		end("error", obs.Int("seq", int64(e.seq)), obs.Int("committed_rows", int64(res.rows)),
+			obs.String("error", res.err.Error()))
+	} else {
+		end("committed", obs.Int("seq", int64(e.seq)))
 	}
-	return err
+	return res.rows, res.err
 }
 
 // waitUntil parks the caller on the not-full condition until a wakeup or
@@ -286,54 +326,95 @@ func (f *changeFeed) flush() {
 }
 
 // deliver journals and stages one stolen group, then answers its entries.
-// Caller holds flushMu (ordering) but not f.mu (the buffer is already free).
+// Each table the group touches is one journal append and one staging, in
+// order of first appearance. An entry whose table fails stops there: its
+// later tables are left out of the appends that follow, so no row it was
+// not told was accepted is ever staged. Caller holds flushMu (ordering)
+// but not f.mu (the buffer is already free).
 func (f *changeFeed) deliver(entries []*feedEntry) {
 	s := f.s
 	var order []string
-	byTable := make(map[string][][]algebra.Value)
+	seen := make(map[string]bool)
 	for _, e := range entries {
-		if _, seen := byTable[e.table]; !seen {
-			order = append(order, e.table)
+		for _, b := range e.batches {
+			if !seen[b.Table] {
+				seen[b.Table] = true
+				order = append(order, b.Table)
+			}
 		}
-		byTable[e.table] = append(byTable[e.table], e.rows...)
 	}
-	errs := make(map[string]error, len(order))
+	results := make([]feedResult, len(entries))
+	// handed marks entries whose sampled span context already rode into
+	// the scheduler with an earlier table, so the epoch sees it once.
+	handed := make([]bool, len(entries))
+	gctx := make([]obs.SpanContext, len(entries))
+	for i, e := range entries {
+		if e.ctx.Valid() {
+			gctx[i] = e.ctx.NewChild()
+		}
+	}
+	type member struct{ entry, rows int }
+	gstart := time.Now()
 	for _, table := range order {
-		// Sampled entries' span contexts ride into the scheduler with the
-		// batch, so the epoch that lands it can adopt/link their traces.
+		var rows [][]algebra.Value
+		var members []member
 		var refs []ingestTraceRef
-		for _, e := range entries {
-			if e.table == table && e.ctx.Valid() {
+		for i, e := range entries {
+			if results[i].err != nil {
+				continue
+			}
+			n := 0
+			for _, b := range e.batches {
+				if b.Table == table {
+					rows = append(rows, b.Rows...)
+					n += len(b.Rows)
+				}
+			}
+			if n == 0 {
+				continue
+			}
+			members = append(members, member{i, n})
+			if e.ctx.Valid() && !handed[i] {
 				refs = append(refs, ingestTraceRef{ctx: e.ctx, trace: e.trace})
 			}
 		}
-		gstart := time.Now()
-		lsn, err := s.ingest(table, byTable[table], true, "stream", refs...)
-		errs[table] = err
-		gdur := time.Since(gstart)
-		for _, ref := range refs {
-			gctx := ref.ctx.NewChild()
-			gattrs := []obs.Attr{
-				obs.String("table", table),
-				obs.Int("rows", int64(len(byTable[table]))),
-				obs.Int("entries", int64(len(entries))),
-			}
+		if len(members) == 0 {
+			continue
+		}
+		astart := time.Now()
+		lsn, err := s.ingest(table, rows, true, "stream", refs...)
+		adur := time.Since(astart)
+		for _, m := range members {
 			if err != nil {
-				gattrs = append(gattrs, obs.String("error", err.Error()))
+				results[m.entry].err = err
+				continue
 			}
-			s.traceSpan(ref.trace, gctx, "ingest.group_commit", gstart, gdur, gattrs...)
-			if lsn > 0 {
-				s.traceSpan(ref.trace, gctx.NewChild(), "journal.append", gstart, gdur,
-					obs.Int("lsn", int64(lsn)))
+			results[m.entry].rows += m.rows
+			handed[m.entry] = true
+			if e := entries[m.entry]; e.ctx.Valid() && lsn > 0 {
+				s.traceSpan(e.trace, gctx[m.entry].NewChild(), "journal.append", astart, adur,
+					obs.String("table", table), obs.Int("lsn", int64(lsn)))
 			}
 		}
 	}
+	gdur := time.Since(gstart)
 
 	now := time.Now()
 	var rows int64
-	for _, e := range entries {
-		if errs[e.table] == nil {
-			rows += int64(len(e.rows))
+	for i, e := range entries {
+		if e.ctx.Valid() {
+			gattrs := []obs.Attr{
+				obs.Int("rows", int64(results[i].rows)),
+				obs.Int("entries", int64(len(entries))),
+				obs.Int("tables", int64(len(order))),
+			}
+			if err := results[i].err; err != nil {
+				gattrs = append(gattrs, obs.String("error", err.Error()))
+			}
+			s.traceSpan(e.trace, gctx[i], "ingest.group_commit", gstart, gdur, gattrs...)
+		}
+		if results[i].rows > 0 {
+			rows += int64(results[i].rows)
 			s.stats.streamLag.record(now.Sub(e.accepted))
 		}
 	}
@@ -354,10 +435,10 @@ func (f *changeFeed) deliver(entries []*feedEntry) {
 			obs.Int("entries", int64(len(entries))),
 			obs.Int("committed_seq", int64(maxSeq)))
 	}
-	// Release the parked callers only after all accounting: a caller's nil
-	// return means its rows are journaled and staged.
-	for _, e := range entries {
-		e.done <- errs[e.table]
+	// Release the parked callers only after all accounting: a caller's
+	// return means its committed rows are journaled and staged.
+	for i, e := range entries {
+		e.done <- results[i]
 	}
 }
 

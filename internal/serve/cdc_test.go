@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"sort"
 	"testing"
 	"time"
 
@@ -223,5 +224,103 @@ func TestStreamCloseDrainsFeed(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("second Close = %v, want nil", err)
+	}
+}
+
+// ingestOutcomes returns, per finished ingest trace, the outcome of its
+// ingest.stream span, and fails on any ingest trace left open or without
+// exactly one such span.
+func ingestOutcomes(t *testing.T, s *Server) []string {
+	t.Helper()
+	var out []string
+	for _, tr := range s.RecentTraces() {
+		if tr.Kind != "ingest" {
+			continue
+		}
+		if !tr.Done {
+			t.Errorf("ingest trace %d left open (spans %v)", tr.ID, tr.Spans)
+		}
+		var streams []PipelineSpan
+		for _, sp := range tr.Spans {
+			if sp.Name == "ingest.stream" {
+				streams = append(streams, sp)
+			}
+		}
+		if len(streams) != 1 {
+			t.Errorf("ingest trace %d has %d ingest.stream spans, want 1", tr.ID, len(streams))
+			continue
+		}
+		outcome, _ := streams[0].Detail["outcome"].(string)
+		out = append(out, outcome)
+	}
+	return out
+}
+
+// TestStreamOversizedBatchFinishesTrace: a batch larger than the whole
+// feed is shed at once, and its sampled trace is finished with an
+// ingest.stream span marked shed.
+func TestStreamOversizedBatchFinishesTrace(t *testing.T) {
+	s, _ := serveFixture(t, Config{
+		DeltaBatch:       1 << 20,
+		TraceSampleEvery: 1,
+		Ingest:           IngestConfig{BufferRows: 2},
+	})
+	d1, _ := deltaPair(1)
+	d2, _ := deltaPair(2)
+	d3, _ := deltaPair(3)
+	if err := s.StreamIngest("Division", d1, d2, d3); !errors.Is(err, ErrBackpressure) {
+		t.Fatalf("oversized StreamIngest = %v, want ErrBackpressure", err)
+	}
+	if got := ingestOutcomes(t, s); len(got) != 1 || got[0] != "shed" {
+		t.Errorf("ingest trace outcomes = %v, want [shed]", got)
+	}
+}
+
+// TestStreamClosedFeedFinishesTrace: a caller blocked on a full feed when
+// Close drains it returns ErrClosed, and its sampled trace is finished with
+// an ingest.stream span marked closed; the drained caller's is committed.
+func TestStreamClosedFeedFinishesTrace(t *testing.T) {
+	s, _ := serveFixture(t, Config{
+		DeltaBatch:       1 << 20,
+		TraceSampleEvery: 1,
+		Ingest: IngestConfig{
+			BufferRows:    2,
+			BlockDeadline: time.Minute, // only Close releases the blocked caller
+			GroupRows:     1000,
+			GroupLinger:   time.Minute,
+		},
+	})
+	fills := make(chan error, 1)
+	go func() {
+		d1, _ := deltaPair(1)
+		d2, _ := deltaPair(2)
+		fills <- s.StreamIngest("Division", d1, d2)
+	}()
+	waitBuffered(t, s, 2)
+	blocked := make(chan error, 1)
+	go func() {
+		d3, _ := deltaPair(3)
+		blocked <- s.StreamIngest("Division", d3)
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for s.Stats().StreamBlocked != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the second caller never blocked on the full feed")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-fills; err != nil {
+		t.Fatalf("drained StreamIngest = %v, want nil", err)
+	}
+	if err := <-blocked; !errors.Is(err, ErrClosed) {
+		t.Fatalf("blocked StreamIngest during Close = %v, want ErrClosed", err)
+	}
+	got := ingestOutcomes(t, s)
+	sort.Strings(got)
+	if len(got) != 2 || got[0] != "closed" || got[1] != "committed" {
+		t.Errorf("ingest trace outcomes = %v, want [closed committed]", got)
 	}
 }

@@ -600,10 +600,12 @@ func (s *Server) InjectDeltas(fraction float64) (int, error) {
 
 // StreamDeltas generates one epoch's worth of synthetic base-table inserts
 // (like InjectDeltas) but pushes them through the CDC streaming-ingest
-// path: each table's rows enter the bounded change feed, group-commit into
-// the journal, and return only once durable. Returns how many rows were
-// accepted; under sustained overload the feed sheds with ErrBackpressure
-// (check errors.Is) and reports the rows accepted before the shed.
+// path: every table's rows enter the bounded change feed together as one
+// entry, share one group commit into the journal, and the call returns
+// only once they are durable. Returns how many rows were accepted. Under
+// sustained overload the feed sheds the whole call with ErrBackpressure
+// (check errors.Is); when a table's journal append fails, the rows of the
+// tables before it are accepted and their count comes back with the error.
 func (s *Server) StreamDeltas(fraction float64) (int, error) {
 	if fraction <= 0 {
 		return 0, fmt.Errorf("mvpp: delta fraction must be positive")
@@ -613,17 +615,12 @@ func (s *Server) StreamDeltas(fraction float64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	accepted := 0
-	for _, name := range s.d.catalog.inner.Relations() {
-		if len(rows[name]) == 0 {
-			continue
-		}
-		if err := s.inner.StreamIngest(name, rows[name]...); err != nil {
-			return accepted, err
-		}
-		accepted += len(rows[name])
+	relations := s.d.catalog.inner.Relations()
+	batches := make([]serve.TableBatch, 0, len(relations))
+	for _, name := range relations {
+		batches = append(batches, serve.TableBatch{Table: name, Rows: rows[name]})
 	}
-	return accepted, nil
+	return s.inner.StreamIngestBatches(batches...)
 }
 
 // RefreshView forces one maintenance refresh of the named view now,
@@ -636,8 +633,8 @@ func (s *Server) RefreshView(name string) error { return s.inner.RefreshView(nam
 func (s *Server) RefreshAllViews() error { return s.inner.RefreshAllViews() }
 
 // IngestWatermarks reports the CDC change feed's monotone watermarks: the
-// last batch sequence accepted into the feed and the last one
-// group-committed (journaled and staged). Equal watermarks mean nothing is
+// last sequence accepted into the feed (one per streaming-ingest call, so
+// one per StreamDeltas) and the last one group-committed (journaled and staged). Equal watermarks mean nothing is
 // in flight.
 func (s *Server) IngestWatermarks() (accepted, committed uint64) {
 	return s.inner.IngestWatermarks()

@@ -341,20 +341,27 @@ func columnGenerator(col algebra.Column, stats catalog.AttrStats, lits []algebra
 	switch col.Type {
 	case algebra.TypeString:
 		// Categorical: domain size does not scale. Literals occupy the
-		// first slots of the value pool.
+		// first slots of the domain. Only drawn values are formatted, so a
+		// draw costs the same whatever the domain size; each is formatted
+		// once per generator, so rows drawing the same value share its
+		// string.
 		n := int(stats.DistinctValues)
 		if n < len(lits)+1 {
 			n = len(lits) + 1
 		}
-		pool := make([]algebra.Value, n)
-		for i := range pool {
+		drawn := make(map[int]algebra.Value)
+		return func(int) algebra.Value {
+			i := r.Intn(n)
 			if i < len(lits) {
-				pool[i] = lits[i]
-			} else {
-				pool[i] = algebra.StringVal(fmt.Sprintf("%s-v%04d", col.Name, i))
+				return lits[i]
 			}
+			v, ok := drawn[i]
+			if !ok {
+				v = algebra.StringVal(fmt.Sprintf("%s-v%04d", col.Name, i))
+				drawn[i] = v
+			}
+			return v
 		}
-		return func(int) algebra.Value { return pool[r.Intn(len(pool))] }
 	case algebra.TypeDate:
 		lo, hi := int64(9496), int64(9861) // 1996 by default
 		if loF, ok := numericBound(stats.Min); ok {
